@@ -1299,14 +1299,20 @@ impl StellarSystem {
         desired.len() == installed.len() && desired.iter().all(|r| installed.contains(&r.id))
     }
 
-    /// Pushes one tick of traffic through the fabric.
+    /// Pushes one tick of traffic through the fabric and copies the
+    /// per-port results out of the PoP arenas.
     pub fn traffic_tick(
         &mut self,
         offers: &[OfferedAggregate],
         tick_end_us: u64,
         tick_us: u64,
     ) -> BTreeMap<PortId, TickResult> {
-        self.ixp.fabric.process_tick(offers, tick_end_us, tick_us)
+        let fabric = &mut self.ixp.fabric;
+        fabric.process_tick_in_place(offers, tick_end_us, tick_us);
+        fabric
+            .last_tick()
+            .map(|(pid, r)| (pid, r.clone()))
+            .collect()
     }
 
     /// Telemetry for the given rules (§3.1).

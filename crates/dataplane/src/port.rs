@@ -33,18 +33,9 @@ impl MemberPort {
     }
 
     /// Pushes one tick of traffic destined to this port through the
-    /// policy; returns delivered aggregates and accumulates counters.
-    pub fn process_tick(&mut self, offers: &[Offer], tick_end_us: u64, tick_us: u64) -> TickResult {
-        let result = self
-            .policy
-            .apply_tick(offers, tick_end_us, tick_us, self.capacity_bps);
-        self.counters.absorb(&result.counters);
-        result
-    }
-
-    /// Allocation-free [`process_tick`](Self::process_tick): the tick
-    /// runs in the policy's scratch buffers and lands in the recycled
-    /// `result` (cleared first).
+    /// policy without allocating: the tick runs in the policy's scratch
+    /// buffers, the outcome lands in the recycled `result` (cleared
+    /// first), and the cumulative counters absorb it.
     pub fn process_tick_into(
         &mut self,
         offers: &[Offer],
@@ -55,22 +46,6 @@ impl MemberPort {
         self.policy
             .apply_tick_into(offers, tick_end_us, tick_us, self.capacity_bps, result);
         self.counters.absorb(&result.counters);
-    }
-
-    /// Pre-arena tick path (see [`QosPolicy::apply_tick_legacy`]): the
-    /// `scale_sweep` "sequential old" baseline and differential-test
-    /// oracle. Not for new callers.
-    pub fn process_tick_legacy(
-        &mut self,
-        offers: &[Offer],
-        tick_end_us: u64,
-        tick_us: u64,
-    ) -> TickResult {
-        let result = self
-            .policy
-            .apply_tick_legacy(offers, tick_end_us, tick_us, self.capacity_bps);
-        self.counters.absorb(&result.counters);
-        result
     }
 
     /// Classifies a single flow key (per-packet functional path).
@@ -103,11 +78,17 @@ mod tests {
         }
     }
 
+    fn tick(p: &mut MemberPort, offers: &[Offer], tick_end_us: u64) -> TickResult {
+        let mut r = TickResult::default();
+        p.process_tick_into(offers, tick_end_us, 1_000_000, &mut r);
+        r
+    }
+
     #[test]
     fn counters_accumulate_across_ticks() {
         let mut p = MemberPort::new(64500, MacAddr::for_member(64500, 1), 1_000_000_000);
         for t in 1..=3u64 {
-            p.process_tick(&[offer(1000)], t * 1_000_000, 1_000_000);
+            tick(&mut p, &[offer(1000)], t * 1_000_000);
         }
         assert_eq!(p.counters.forwarded_bytes, 3000);
     }
@@ -124,7 +105,7 @@ mod tests {
             Action::Drop,
             10,
         ));
-        let r = p.process_tick(&[offer(500)], 1_000_000, 1_000_000);
+        let r = tick(&mut p, &[offer(500)], 1_000_000);
         assert!(r.delivered.is_empty());
         assert_eq!(p.counters.dropped_bytes, 500);
         assert!(p.classify(&offer(1).key).is_some());

@@ -22,7 +22,7 @@ pub struct Offer {
 }
 
 /// Result of pushing one tick of traffic through a port's policy.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TickResult {
     /// Traffic delivered to the member: `(key, bytes, packets)`.
     pub delivered: Vec<(FlowKey, u64, u64)>,
@@ -192,29 +192,12 @@ impl QosPolicy {
         self.engine.classify(key).and_then(|id| self.rule_by_id(id))
     }
 
-    /// Pushes one tick of offered aggregates through the policy.
+    /// Pushes one tick of offered aggregates through the policy without
+    /// allocating: classification, grouping, and queue arithmetic all
+    /// run in the policy's reusable [`TickWork`] buffers and the outcome
+    /// lands in the caller-recycled `result` (cleared first).
     /// `tick_end_us` clocks the shapers; `tick_us` is the tick duration;
     /// `capacity_bps` is the member port capacity.
-    ///
-    /// Convenience wrapper over [`apply_tick_into`]
-    /// (`Self::apply_tick_into`) that allocates a fresh result.
-    pub fn apply_tick(
-        &mut self,
-        offers: &[Offer],
-        tick_end_us: u64,
-        tick_us: u64,
-        capacity_bps: u64,
-    ) -> TickResult {
-        let mut result = TickResult::default();
-        self.apply_tick_into(offers, tick_end_us, tick_us, capacity_bps, &mut result);
-        result
-    }
-
-    /// The allocation-free tick path: like [`apply_tick`]
-    /// (`Self::apply_tick`), but classification, grouping, and queue
-    /// arithmetic all run in the policy's reusable [`TickWork`] buffers
-    /// and the outcome lands in the caller-recycled `result` (cleared
-    /// first). Steady state makes zero heap allocations per tick.
     ///
     /// Phase 1 classifies the whole tick in one batched engine pass and
     /// dispatches verdicts into drop / shape / forward. Offers matching
@@ -223,8 +206,7 @@ impl QosPolicy {
     /// queue lets every contending flow keep a share, which is why "the
     /// number of peers remains constant" while shaping (§5.3). Groups
     /// are formed by sorting `(rule id, offer index)` tags, so they come
-    /// out in ascending rule id with offers in arrival order — exactly
-    /// the order the old hash-map grouping produced after its own sort.
+    /// out in ascending rule id with offers in arrival order.
     /// Phase 2 pushes the forwarding queue at port capacity.
     pub fn apply_tick_into(
         &mut self,
@@ -330,90 +312,6 @@ impl QosPolicy {
             result.counters.congestion_dropped_bytes += dropped;
         }
     }
-
-    /// The pre-arena tick path, retained verbatim as (a) the honest
-    /// "sequential old" baseline for `scale_sweep`'s speedup claims and
-    /// (b) a differential-testing oracle for
-    /// [`apply_tick_into`](Self::apply_tick_into). Classifies per key
-    /// and allocates every intermediate per call, exactly as the hot
-    /// path did before the scratch arena landed. Not for new callers.
-    pub fn apply_tick_legacy(
-        &mut self,
-        offers: &[Offer],
-        tick_end_us: u64,
-        tick_us: u64,
-        capacity_bps: u64,
-    ) -> TickResult {
-        let mut result = TickResult::default();
-        let mut to_forward: Vec<(FlowKey, u64, u64)> = Vec::new();
-        let mut shape_groups: HashMap<u64, Vec<(FlowKey, u64, u64)>> = HashMap::new();
-        let keys: Vec<FlowKey> = offers.iter().map(|o| o.key).collect();
-        let verdicts: Vec<Option<u64>> = keys.iter().map(|k| self.engine.classify(k)).collect();
-        for (offer, verdict) in offers.iter().zip(verdicts) {
-            let rule = verdict.and_then(|id| self.rule_by_id(id));
-            match rule.map(|r| (r.id, r.action)) {
-                Some((id, Action::Drop)) => {
-                    result.counters.dropped_bytes += offer.bytes;
-                    result.counters.dropped_packets += offer.packets;
-                    let rc = self.rule_counters.entry(id).or_default();
-                    rc.matched_bytes += offer.bytes;
-                    rc.matched_packets += offer.packets;
-                    rc.discarded_bytes += offer.bytes;
-                }
-                Some((id, Action::Shape { .. })) => {
-                    shape_groups.entry(id).or_default().push((
-                        offer.key,
-                        offer.bytes,
-                        offer.packets,
-                    ));
-                }
-                Some((id, Action::Forward)) => {
-                    let rc = self.rule_counters.entry(id).or_default();
-                    rc.matched_bytes += offer.bytes;
-                    rc.matched_packets += offer.packets;
-                    rc.passed_bytes += offer.bytes;
-                    to_forward.push((offer.key, offer.bytes, offer.packets));
-                }
-                None => to_forward.push((offer.key, offer.bytes, offer.packets)),
-            }
-        }
-        let mut shape_ids: Vec<u64> = shape_groups.keys().copied().collect();
-        shape_ids.sort_unstable();
-        for id in shape_ids {
-            let group = shape_groups.remove(&id).expect("key exists");
-            let total: u64 = group.iter().map(|(_, b, _)| b).sum();
-            let shaper = self.shapers.get_mut(&id).expect("shaper exists for rule");
-            let admitted_total = shaper.admit(total, tick_end_us);
-            let byte_offers: Vec<u64> = group.iter().map(|(_, b, _)| *b).collect();
-            let split = queue::drain_proportional(&byte_offers, admitted_total);
-            let rc = self.rule_counters.entry(id).or_default();
-            rc.matched_bytes += total;
-            rc.matched_packets += group.iter().map(|(_, _, p)| p).sum::<u64>();
-            rc.discarded_bytes += total - admitted_total;
-            rc.passed_bytes += admitted_total;
-            result.counters.shaped_bytes += admitted_total;
-            result.counters.shape_dropped_bytes += total - admitted_total;
-            for ((key, bytes, packets), (fwd, _dropped)) in group.into_iter().zip(split) {
-                if fwd > 0 {
-                    let pkts = (packets * fwd).checked_div(bytes).map_or(0, |p| p.max(1));
-                    to_forward.push((key, fwd, pkts));
-                }
-            }
-        }
-        let budget = queue::capacity_bytes(capacity_bps, tick_us);
-        let byte_offers: Vec<u64> = to_forward.iter().map(|(_, b, _)| *b).collect();
-        let drained = queue::drain_proportional(&byte_offers, budget);
-        for ((key, bytes, packets), (fwd, dropped)) in to_forward.into_iter().zip(drained) {
-            if fwd > 0 {
-                let pkts = (packets * fwd).checked_div(bytes).map_or(0, |p| p.max(1));
-                result.counters.forwarded_bytes += fwd;
-                result.counters.forwarded_packets += pkts;
-                result.delivered.push((key, fwd, pkts));
-            }
-            result.counters.congestion_dropped_bytes += dropped;
-        }
-        result
-    }
 }
 
 #[cfg(test)]
@@ -438,6 +336,18 @@ mod tests {
         }
     }
 
+    fn run(
+        p: &mut QosPolicy,
+        offers: &[Offer],
+        tick_end_us: u64,
+        tick_us: u64,
+        capacity_bps: u64,
+    ) -> TickResult {
+        let mut r = TickResult::default();
+        p.apply_tick_into(offers, tick_end_us, tick_us, capacity_bps, &mut r);
+        r
+    }
+
     fn ntp_drop_rule(id: u64) -> FilterRule {
         FilterRule::new(
             id,
@@ -459,7 +369,7 @@ mod tests {
             bytes: 1000,
             packets: 2,
         }];
-        let r = p.apply_tick(&offers, 1_000_000, 1_000_000, 1_000_000_000);
+        let r = run(&mut p, &offers, 1_000_000, 1_000_000, 1_000_000_000);
         assert_eq!(r.delivered.len(), 1);
         assert_eq!(r.counters.forwarded_bytes, 1000);
         assert_eq!(r.counters.total_discarded_bytes(), 0);
@@ -481,7 +391,7 @@ mod tests {
                 packets: 5,
             },
         ];
-        let r = p.apply_tick(&offers, 1_000_000, 1_000_000, 1_000_000_000);
+        let r = run(&mut p, &offers, 1_000_000, 1_000_000, 1_000_000_000);
         assert_eq!(r.counters.dropped_bytes, 10_000);
         assert_eq!(r.counters.forwarded_bytes, 5_000);
         assert_eq!(r.delivered.len(), 1);
@@ -514,7 +424,7 @@ mod tests {
                 bytes: 12_500_000,
                 packets: 8900,
             }];
-            let r = p.apply_tick(&offers, tick * 100_000, 100_000, 10_000_000_000);
+            let r = run(&mut p, &offers, tick * 100_000, 100_000, 10_000_000_000);
             shaped_total += r.counters.shaped_bytes;
         }
         let rate = shaped_total as f64 * 8.0 / 5.0;
@@ -533,7 +443,7 @@ mod tests {
             bytes: 1_250_000_000,
             packets: 1_000_000,
         }];
-        let r = p.apply_tick(&offers, 1_000_000, 1_000_000, 1_000_000_000);
+        let r = run(&mut p, &offers, 1_000_000, 1_000_000, 1_000_000_000);
         assert_eq!(r.counters.forwarded_bytes, 125_000_000);
         assert_eq!(r.counters.congestion_dropped_bytes, 1_125_000_000);
     }
@@ -560,7 +470,7 @@ mod tests {
             bytes: 100,
             packets: 1,
         }];
-        let r = p.apply_tick(&offers, 1, 1_000_000, 1_000_000_000);
+        let r = run(&mut p, &offers, 1, 1_000_000, 1_000_000_000);
         assert_eq!(r.counters.forwarded_bytes, 100);
         assert_eq!(r.counters.dropped_bytes, 0);
     }
@@ -610,7 +520,7 @@ mod tests {
                 packets: 7_000,
             },
         ];
-        let r = p.apply_tick(&offers, 1_000_000, 1_000_000, 1_000_000_000);
+        let r = run(&mut p, &offers, 1_000_000, 1_000_000, 1_000_000_000);
         assert!(r.counters.congestion_dropped_bytes > 0);
         let total_delivered: u64 = r.delivered.iter().map(|(_, b, _)| b).sum();
         assert!(total_delivered <= 125_000_000);

@@ -10,7 +10,7 @@ use crate::hardware::HardwareInfoBase;
 use crate::port::MemberPort;
 use crate::qos::{Offer, TickResult};
 use crate::tcam::{Tcam, TcamHandle, TcamVerdict};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use stellar_classify::sharded;
 use stellar_net::flow::FlowKey;
 use stellar_net::mac::MacAddr;
@@ -59,9 +59,8 @@ pub enum PacketVerdict {
 
 /// The tick pipeline's reusable arena: per-port offer buckets, the
 /// touched-port worklist, and one recycled [`TickResult`] per port, all
-/// keyed by a dense port index (position in the router's ascending
-/// `PortId` order). Buckets and results are cleared, never freed,
-/// between ticks, so a steady-state tick allocates nothing here.
+/// keyed by dense port index. Buckets and results are cleared, never
+/// freed, between ticks, so a steady-state tick allocates nothing here.
 #[derive(Debug, Default)]
 struct TickScratch {
     /// Offers routed to each port this tick, by dense index.
@@ -77,24 +76,29 @@ struct TickScratch {
 /// results stay owned by the router for recycling.
 #[derive(Debug, Clone, Copy)]
 pub struct TickView<'a> {
-    dense: &'a [PortId],
+    ids: &'a [PortId],
     touched: &'a [u32],
     results: &'a [TickResult],
 }
 
 impl<'a> TickView<'a> {
     /// Per-port results in ascending `PortId` order.
-    pub fn iter(&self) -> impl Iterator<Item = (PortId, &'a TickResult)> + '_ {
-        self.touched
+    pub fn iter(self) -> impl Iterator<Item = (PortId, &'a TickResult)> {
+        let TickView {
+            ids,
+            touched,
+            results,
+        } = self;
+        touched
             .iter()
-            .map(|&i| (self.dense[i as usize], &self.results[i as usize]))
+            .map(move |&i| (ids[i as usize], &results[i as usize]))
     }
 
     /// The result for one port, if it saw traffic this tick.
     pub fn get(&self, pid: PortId) -> Option<&'a TickResult> {
         self.touched
             .iter()
-            .find(|&&i| self.dense[i as usize] == pid)
+            .find(|&&i| self.ids[i as usize] == pid)
             .map(|&i| &self.results[i as usize])
     }
 
@@ -107,6 +111,24 @@ impl<'a> TickView<'a> {
     pub fn is_empty(&self) -> bool {
         self.touched.is_empty()
     }
+}
+
+/// Disjoint `&mut` borrows of `items[i]` for each `i` in the strictly
+/// ascending `indices`, reached by splitting the slice: one step per
+/// index, none per skipped item.
+fn pick_mut<'a, T>(items: &'a mut [T], indices: &'a [u32]) -> impl Iterator<Item = &'a mut T> {
+    let mut rest = items;
+    // Absolute index of `rest[0]`.
+    let mut next = 0usize;
+    indices.iter().map_while(move |&i| {
+        let skip = (i as usize).checked_sub(next)?;
+        let (item, tail) = std::mem::take(&mut rest)
+            .get_mut(skip..)?
+            .split_first_mut()?;
+        rest = tail;
+        next = i as usize + 1;
+        Some(item)
+    })
 }
 
 /// Worker count for the parallel tick mode: `STELLAR_TICK_WORKERS` when
@@ -123,21 +145,21 @@ fn tick_workers_from_env() -> usize {
 #[derive(Debug)]
 pub struct EdgeRouter {
     hib: HardwareInfoBase,
-    ports: BTreeMap<PortId, MemberPort>,
-    mac_to_port: HashMap<MacAddr, PortId>,
+    /// Port ids, ascending whenever `sorted`; position = dense index.
+    ids: Vec<PortId>,
+    /// Member ports, index-aligned with `ids`.
+    ports: Vec<MemberPort>,
+    /// Destination MAC → dense index: the one routing table the tick
+    /// and the per-packet path share.
+    by_mac: HashMap<MacAddr, u32>,
+    /// False after an out-of-order [`add_port`](Self::add_port) until
+    /// the next tick re-sorts the store.
+    sorted: bool,
     tcam: Tcam,
     cpu: ControlPlaneCpu,
     handles: HashMap<(PortId, u64), TcamHandle>,
-    /// Port ids in ascending order; position = dense index.
-    dense: Vec<PortId>,
-    /// Destination MAC → dense index (the tick path's routing table).
-    mac_dense: HashMap<MacAddr, u32>,
     /// Tick arena (see [`TickScratch`]).
     scratch: TickScratch,
-    /// Dense index / arena are out of date (ports were added since the
-    /// last rebuild). Rebuilt lazily at the next tick, so bulk topology
-    /// construction is O(ports), not O(ports²).
-    dense_dirty: bool,
     /// Max workers for the parallel tick mode; 1 = sequential.
     tick_workers: usize,
     /// Minimum per-tick work (Σ over touched ports of 1 + rules) below
@@ -161,15 +183,14 @@ impl EdgeRouter {
         let cpu = hib.cpu_model();
         EdgeRouter {
             hib,
-            ports: BTreeMap::new(),
-            mac_to_port: HashMap::new(),
+            ids: Vec::new(),
+            ports: Vec::new(),
+            by_mac: HashMap::new(),
+            sorted: true,
             tcam,
             cpu,
             handles: HashMap::new(),
-            dense: Vec::new(),
-            mac_dense: HashMap::new(),
             scratch: TickScratch::default(),
-            dense_dirty: false,
             tick_workers: tick_workers_from_env(),
             parallel_min_work: sharded::parallel_min_work_from_env(),
             last_parallel: false,
@@ -178,41 +199,64 @@ impl EdgeRouter {
         }
     }
 
-    /// Adds a member port. Panics if the port id is taken (topology bug).
-    /// The dense tick index is rebuilt lazily at the next tick, so adding
-    /// N ports costs O(N log N) total rather than O(N²).
+    /// Adds a member port. Panics if the port id or the MAC is already
+    /// attached (topology bugs: a MAC on two ports would let the tick
+    /// and per-packet paths deliver to different ports). Ports append;
+    /// an out-of-order id defers the re-sort, and its duplicate-id
+    /// check, to the next tick, so adding N ports in any order costs
+    /// O(N log N).
     pub fn add_port(&mut self, id: PortId, port: MemberPort) {
         assert!(
-            !self.ports.contains_key(&id),
+            !self.sorted || self.ids.binary_search(&id).is_err(),
             "duplicate port id {id:?} in topology"
         );
-        self.mac_to_port.insert(port.mac, id);
-        self.ports.insert(id, port);
-        self.dense_dirty = true;
+        assert!(
+            !self.by_mac.contains_key(&port.mac),
+            "duplicate MAC {} in topology",
+            port.mac
+        );
+        self.sorted &= self.ids.last().is_none_or(|&last| last < id);
+        self.by_mac.insert(port.mac, self.ids.len() as u32);
+        self.ids.push(id);
+        self.ports.push(port);
     }
 
-    /// Rebuilds the dense port index and resizes the arena after topology
-    /// changes. No-op on the steady-state tick path.
-    fn ensure_dense(&mut self) {
-        if !self.dense_dirty {
+    /// Restores ascending id order after out-of-order adds and re-points
+    /// the MAC table and the arena at the new positions. No-op on the
+    /// steady-state tick path.
+    fn sort_ports(&mut self) {
+        if self.sorted {
             return;
         }
-        self.dense_dirty = false;
-        self.dense.clear();
-        self.dense.extend(self.ports.keys().copied());
-        self.mac_dense.clear();
-        for (i, p) in self.ports.values().enumerate() {
-            self.mac_dense.insert(p.mac, i as u32);
+        self.sorted = true;
+        let mut store: Vec<(PortId, MemberPort)> =
+            self.ids.drain(..).zip(self.ports.drain(..)).collect();
+        store.sort_unstable_by_key(|(id, _)| *id);
+        (self.ids, self.ports) = store.into_iter().unzip();
+        for w in self.ids.windows(2) {
+            assert!(w[0] != w[1], "duplicate port id {:?} in topology", w[0]);
         }
-        self.scratch.buckets.resize_with(self.dense.len(), Vec::new);
-        self.scratch
-            .results
-            .resize_with(self.dense.len(), TickResult::default);
-        // Stale touched indices would point at re-dense-indexed ports.
-        for b in &mut self.scratch.buckets {
-            b.clear();
+        for (i, p) in self.ports.iter().enumerate() {
+            self.by_mac.insert(p.mac, i as u32);
         }
-        self.scratch.touched.clear();
+        // Last tick's touched indices point at pre-sort positions.
+        let TickScratch {
+            buckets, touched, ..
+        } = &mut self.scratch;
+        for &i in touched.iter() {
+            buckets[i as usize].clear();
+        }
+        touched.clear();
+    }
+
+    /// Dense index of a port: a binary search over the id order, or a
+    /// scan while out-of-order adds await their re-sort.
+    fn index_of(&self, id: PortId) -> Option<usize> {
+        if self.sorted {
+            self.ids.binary_search(&id).ok()
+        } else {
+            self.ids.iter().position(|&p| p == id)
+        }
     }
 
     /// Caps the parallel tick fan-out; `1` forces the sequential
@@ -250,22 +294,33 @@ impl EdgeRouter {
 
     /// The port a MAC address is attached to.
     pub fn port_of_mac(&self, mac: MacAddr) -> Option<PortId> {
-        self.mac_to_port.get(&mac).copied()
+        self.by_mac.get(&mac).map(|&i| self.ids[i as usize])
     }
 
     /// Immutable access to a port.
     pub fn port(&self, id: PortId) -> Option<&MemberPort> {
-        self.ports.get(&id)
+        self.index_of(id).map(|i| &self.ports[i])
     }
 
     /// Mutable access to a port.
     pub fn port_mut(&mut self, id: PortId) -> Option<&mut MemberPort> {
-        self.ports.get_mut(&id)
+        let i = self.index_of(id)?;
+        self.ports.get_mut(i)
     }
 
-    /// Iterates over all ports.
-    pub fn ports(&self) -> impl Iterator<Item = (&PortId, &MemberPort)> {
-        self.ports.iter()
+    /// Iterates over all ports in ascending `PortId` order.
+    pub fn ports(&self) -> impl Iterator<Item = (PortId, &MemberPort)> {
+        // Out-of-order adds not yet re-sorted by a tick are walked
+        // through a sorted permutation instead.
+        let order = (!self.sorted).then(|| {
+            let mut order: Vec<usize> = (0..self.ids.len()).collect();
+            order.sort_unstable_by_key(|&i| self.ids[i]);
+            order
+        });
+        (0..self.ids.len()).map(move |k| {
+            let i = order.as_ref().map_or(k, |o| o[k]);
+            (self.ids[i], &self.ports[i])
+        })
     }
 
     /// The TCAM (read access for scaling experiments).
@@ -291,9 +346,9 @@ impl EdgeRouter {
         rule: FilterRule,
         now_us: u64,
     ) -> Result<(), InstallError> {
-        let port = self.ports.get(&port_id).ok_or(InstallError::NoSuchPort)?;
+        let i = self.index_of(port_id).ok_or(InstallError::NoSuchPort)?;
         let replacing = self.handles.contains_key(&(port_id, rule.id));
-        if !replacing && port.policy.rule_count() >= self.hib.max_rules_per_port {
+        if !replacing && self.ports[i].policy.rule_count() >= self.hib.max_rules_per_port {
             return Err(InstallError::PerPortLimit);
         }
         // Release the old allocation first when replacing, so retuning a
@@ -303,11 +358,7 @@ impl EdgeRouter {
         }
         let handle = self.tcam.alloc(&rule.spec).map_err(InstallError::Tcam)?;
         self.handles.insert((port_id, rule.id), handle);
-        self.ports
-            .get_mut(&port_id)
-            .expect("port existence checked")
-            .policy
-            .install(rule);
+        self.ports[i].policy.install(rule);
         // A replacement is one removal plus one install in the ledger,
         // counted only once the new allocation succeeded.
         if replacing {
@@ -320,10 +371,10 @@ impl EdgeRouter {
 
     /// Removes a rule, releasing its TCAM allocation.
     pub fn remove_rule(&mut self, port_id: PortId, rule_id: u64, now_us: u64) -> bool {
-        let Some(port) = self.ports.get_mut(&port_id) else {
+        let Some(i) = self.index_of(port_id) else {
             return false;
         };
-        let removed = port.policy.remove(rule_id);
+        let removed = self.ports[i].policy.remove(rule_id);
         if removed {
             if let Some(h) = self.handles.remove(&(port_id, rule_id)) {
                 self.tcam.free(h);
@@ -337,12 +388,12 @@ impl EdgeRouter {
     /// Removes every rule on a port (fallback-to-forwarding resilience,
     /// §4.1.2). Returns how many rules were removed.
     pub fn flush_port(&mut self, port_id: PortId, now_us: u64) -> usize {
-        let Some(port) = self.ports.get_mut(&port_id) else {
+        let Some(i) = self.index_of(port_id) else {
             return 0;
         };
         // The policy clears its compiled engine and reports what was
         // installed, so nothing re-walks the rule list here.
-        let ids = port.policy.clear();
+        let ids = self.ports[i].policy.clear();
         for id in &ids {
             if let Some(h) = self.handles.remove(&(port_id, *id)) {
                 self.tcam.free(h);
@@ -366,7 +417,7 @@ impl EdgeRouter {
     /// the rules back in. Returns how many installed rules were lost.
     pub fn restart(&mut self, now_us: u64) -> usize {
         let mut wiped = 0;
-        for port in self.ports.values_mut() {
+        for port in &mut self.ports {
             wiped += port.policy.reset();
         }
         self.handles.clear();
@@ -381,37 +432,12 @@ impl EdgeRouter {
         wiped
     }
 
-    /// Pushes one tick of traffic through the fabric. Aggregates are
-    /// routed to their destination-MAC port and pushed through that port's
-    /// egress policy. Returns per-port results.
-    ///
-    /// Compatibility wrapper over [`process_tick_in_place`]
-    /// (`Self::process_tick_in_place`): runs the arena pipeline, then
-    /// moves the touched results out into an owned map. Hot loops that
-    /// tick every iteration should use the in-place variant, which
-    /// leaves the results in the arena for recycling.
-    pub fn process_tick(
-        &mut self,
-        offers: &[OfferedAggregate],
-        tick_end_us: u64,
-        tick_us: u64,
-    ) -> BTreeMap<PortId, TickResult> {
-        self.run_tick(offers, tick_end_us, tick_us);
-        let mut out = BTreeMap::new();
-        for &i in &self.scratch.touched {
-            out.insert(
-                self.dense[i as usize],
-                std::mem::take(&mut self.scratch.results[i as usize]),
-            );
-        }
-        out
-    }
-
-    /// The zero-allocation tick path: routes `offers` into the arena's
-    /// per-port buckets, runs every touched port's policy (in parallel
-    /// when [`tick_workers`](Self::tick_workers) > 1), and returns a
-    /// borrowed view of the per-port results, merged in ascending
-    /// `PortId` order.
+    /// Pushes one tick of traffic through the router without allocating
+    /// in steady state: routes `offers` by destination MAC into the
+    /// arena's per-port buckets, runs every touched port's policy (in
+    /// parallel when [`tick_workers`](Self::tick_workers) > 1), and
+    /// returns a borrowed view of the per-port results in ascending
+    /// `PortId` order. Aggregates toward an unknown MAC vanish.
     ///
     /// Ports are independent shards — each owns its policy, shapers and
     /// counters, and is mutated only by its owning worker — so parallel
@@ -423,28 +449,22 @@ impl EdgeRouter {
         tick_end_us: u64,
         tick_us: u64,
     ) -> TickView<'_> {
-        self.run_tick(offers, tick_end_us, tick_us);
-        TickView {
-            dense: &self.dense,
-            touched: &self.scratch.touched,
-            results: &self.scratch.results,
-        }
-    }
-
-    fn run_tick(&mut self, offers: &[OfferedAggregate], tick_end_us: u64, tick_us: u64) {
-        self.ensure_dense();
+        self.sort_ports();
         let TickScratch {
             buckets,
             touched,
             results,
         } = &mut self.scratch;
+        // Ports added since the last tick get their arena slots.
+        buckets.resize_with(self.ports.len(), Vec::new);
+        results.resize_with(self.ports.len(), TickResult::default);
         // Clear-don't-free: only last tick's touched buckets hold data.
         for &i in touched.iter() {
             buckets[i as usize].clear();
         }
         touched.clear();
         for o in offers {
-            if let Some(&i) = self.mac_dense.get(&o.key.dst_mac) {
+            if let Some(&i) = self.by_mac.get(&o.key.dst_mac) {
                 let bucket = &mut buckets[i as usize];
                 if bucket.is_empty() {
                     touched.push(i);
@@ -466,83 +486,38 @@ impl EdgeRouter {
         // the threshold, pool dispatch costs more than it buys (the
         // 4-port sweep cell ran at 0.48× sequential), so fall back to
         // the in-place sequential walk, which also allocates nothing.
-        let mut work = 0u64;
-        for &i in touched.iter() {
-            if let Some(p) = self.ports.get(&self.dense[i as usize]) {
-                work += 1 + p.policy.rule_count() as u64;
-            }
-        }
+        let work: u64 = touched
+            .iter()
+            .map(|&i| 1 + self.ports[i as usize].policy.rule_count() as u64)
+            .sum();
         let workers = sharded::effective_workers(self.tick_workers, work, self.parallel_min_work);
         self.last_parallel = workers > 1 && touched.len() > 1;
-        // `ports` iterates in key order and `touched` is ascending, so a
-        // single forward walk pairs each touched dense index with its
-        // port (position in the iteration == dense index).
-        if !self.last_parallel {
-            let mut ports_iter = self.ports.values_mut().enumerate();
-            for &i in touched.iter() {
-                if let Some((_, port)) = ports_iter.find(|(j, _)| *j == i as usize) {
-                    port.process_tick_into(
-                        &buckets[i as usize],
-                        tick_end_us,
-                        tick_us,
-                        &mut results[i as usize],
-                    );
-                }
-            }
-            return;
-        }
         // One shard per touched port: the port (sole owner of its
         // policy/shaper/counter state), its bucket, and its recycled
         // result slot.
-        let mut shards: Vec<(&mut MemberPort, &[Offer], &mut TickResult)> =
-            Vec::with_capacity(touched.len());
-        let mut ports_iter = self.ports.values_mut().enumerate();
-        let mut results_iter = results.iter_mut().enumerate();
-        for &i in touched.iter() {
-            let (Some((_, port)), Some((_, result))) = (
-                ports_iter.find(|(j, _)| *j == i as usize),
-                results_iter.find(|(j, _)| *j == i as usize),
-            ) else {
-                continue;
-            };
-            shards.push((port, &buckets[i as usize], result));
+        let shards = pick_mut(&mut self.ports, touched)
+            .zip(pick_mut(results, touched))
+            .zip(touched.iter())
+            .map(|((port, result), &i)| (port, buckets[i as usize].as_slice(), result));
+        if self.last_parallel {
+            sharded::parallel_shards(shards.collect(), workers, |(port, offers, result)| {
+                port.process_tick_into(offers, tick_end_us, tick_us, result);
+            });
+        } else {
+            for (port, offers, result) in shards {
+                port.process_tick_into(offers, tick_end_us, tick_us, result);
+            }
         }
-        sharded::parallel_shards(shards, workers, |(port, offers, result)| {
-            port.process_tick_into(offers, tick_end_us, tick_us, result);
-        });
+        self.last_tick()
     }
 
-    /// The pre-arena tick path, retained as the `scale_sweep`
-    /// "sequential old" baseline and a differential-test oracle: fresh
-    /// `BTreeMap` grouping, per-call `Vec`s, per-key classification, and
-    /// a strictly sequential port walk — exactly what `process_tick` did
-    /// before the scratch arena landed. Not for new callers.
-    pub fn process_tick_legacy(
-        &mut self,
-        offers: &[OfferedAggregate],
-        tick_end_us: u64,
-        tick_us: u64,
-    ) -> BTreeMap<PortId, TickResult> {
-        let mut per_port: BTreeMap<PortId, Vec<Offer>> = BTreeMap::new();
-        for o in offers {
-            if let Some(pid) = self.mac_to_port.get(&o.key.dst_mac) {
-                per_port.entry(*pid).or_default().push(Offer {
-                    key: o.key,
-                    bytes: o.bytes,
-                    packets: o.packets,
-                });
-            }
+    /// The most recent tick's per-port results, read from the arena.
+    pub fn last_tick(&self) -> TickView<'_> {
+        TickView {
+            ids: &self.ids,
+            touched: &self.scratch.touched,
+            results: &self.scratch.results,
         }
-        let mut out = BTreeMap::new();
-        for (pid, port) in self.ports.iter_mut() {
-            if let Some(offers) = per_port.remove(pid) {
-                out.insert(
-                    *pid,
-                    port.process_tick_legacy(&offers, tick_end_us, tick_us),
-                );
-            }
-        }
-        out
     }
 
     /// Functional per-packet path (§5.2): decodes real wire bytes,
@@ -551,20 +526,20 @@ impl EdgeRouter {
     pub fn process_packet(&self, wire: &[u8]) -> Result<PacketVerdict, stellar_net::NetError> {
         let packet = Packet::decode(wire)?;
         let key = packet.flow_key();
-        let Some(pid) = self.mac_to_port.get(&key.dst_mac) else {
+        let Some(&i) = self.by_mac.get(&key.dst_mac) else {
             return Ok(PacketVerdict::Unroutable);
         };
-        let port = self.ports.get(pid).expect("port exists");
+        let (pid, port) = (self.ids[i as usize], &self.ports[i as usize]);
         match port.policy.classify(&key).map(|r| r.action) {
             Some(crate::filter::Action::Drop) => Ok(PacketVerdict::Dropped),
-            Some(crate::filter::Action::Shape { .. }) => Ok(PacketVerdict::Shaped(*pid)),
-            _ => Ok(PacketVerdict::Delivered(*pid)),
+            Some(crate::filter::Action::Shape { .. }) => Ok(PacketVerdict::Shaped(pid)),
+            _ => Ok(PacketVerdict::Delivered(pid)),
         }
     }
 
     /// Total rules installed across all ports.
     pub fn total_rules(&self) -> usize {
-        self.ports.values().map(|p| p.policy.rule_count()).sum()
+        self.ports.iter().map(|p| p.policy.rule_count()).sum()
     }
 
     /// The cumulative `(installs, removals)` ledger published to obs.
@@ -576,8 +551,8 @@ impl EdgeRouter {
     /// Publishes the data-plane gauges: TCAM occupancy plus, per member
     /// port, rule/shaper population and the cumulative queue counters
     /// (forwarded, drop-rule drops, shaper passes/drops, congestion
-    /// drops). Ports iterate in `BTreeMap` order, so the gauge set is
-    /// stable across runs.
+    /// drops). Ports iterate in ascending `PortId` order, so the gauge
+    /// set is stable across runs.
     pub fn observe(&self, reg: &mut stellar_obs::MetricsRegistry) {
         self.tcam.observe(reg);
         reg.gauge_set("dataplane.total_rules", self.total_rules() as i64);
@@ -593,7 +568,7 @@ impl EdgeRouter {
     /// this per router (port ids are fabric-unique, so the gauge names
     /// cannot collide) while aggregating the router-global gauges itself.
     pub fn observe_ports(&self, reg: &mut stellar_obs::MetricsRegistry) {
-        for (pid, port) in &self.ports {
+        for (pid, port) in self.ports() {
             let p = format!("dataplane.port.{}", pid.0);
             reg.gauge_set(&format!("{p}.rules"), port.policy.rule_count() as i64);
             reg.gauge_set(
@@ -656,15 +631,15 @@ mod tests {
     #[test]
     fn traffic_routes_to_destination_port() {
         let mut er = router_with_two_ports();
-        let res = er.process_tick(
+        let res = er.process_tick_in_place(
             &[ntp_flow(64500, 1000), ntp_flow(64501, 2000)],
             1_000_000,
             1_000_000,
         );
-        assert_eq!(res[&PortId(1)].counters.forwarded_bytes, 1000);
-        assert_eq!(res[&PortId(2)].counters.forwarded_bytes, 2000);
+        assert_eq!(forwarded(res, 1), 1000);
+        assert_eq!(forwarded(res, 2), 2000);
         // Unroutable destination disappears.
-        let res = er.process_tick(&[ntp_flow(9999, 500)], 2_000_000, 1_000_000);
+        let res = er.process_tick_in_place(&[ntp_flow(9999, 500)], 2_000_000, 1_000_000);
         assert!(res.is_empty());
     }
 
@@ -680,8 +655,8 @@ mod tests {
         er.install_rule(PortId(1), rule.clone(), 0).unwrap();
         assert_eq!(er.tcam().l34_used(), 3);
         assert_eq!(er.total_rules(), 1);
-        let res = er.process_tick(&[ntp_flow(64500, 1000)], 1_000_000, 1_000_000);
-        assert_eq!(res[&PortId(1)].counters.dropped_bytes, 1000);
+        let res = er.process_tick_in_place(&[ntp_flow(64500, 1000)], 1_000_000, 1_000_000);
+        assert_eq!(res.get(PortId(1)).unwrap().counters.dropped_bytes, 1000);
         assert!(er.remove_rule(PortId(1), 1, 2));
         assert_eq!(er.tcam().l34_used(), 0);
         let (rate, _) = er.cpu_mut().sample_window(5_000_000);
@@ -814,8 +789,8 @@ mod tests {
         assert_eq!(er.tcam().allocation_count(), 0);
         // Ports and MAC table survive: traffic still forwards (now
         // unfiltered — the fallback-to-forwarding posture).
-        let res = er.process_tick(&[ntp_flow(64500, 1000)], 1_000_000, 1_000_000);
-        assert_eq!(res[&PortId(1)].counters.forwarded_bytes, 1000);
+        let res = er.process_tick_in_place(&[ntp_flow(64500, 1000)], 1_000_000, 1_000_000);
+        assert_eq!(forwarded(res, 1), 1000);
         // Rules can be reinstalled against the fresh TCAM.
         let rule = FilterRule::new(
             7,
@@ -883,8 +858,12 @@ mod tests {
         assert!(json.contains("\"dataplane.rule_removals\":6"));
     }
 
+    fn forwarded(view: TickView<'_>, pid: u32) -> u64 {
+        view.get(PortId(pid)).unwrap().counters.forwarded_bytes
+    }
+
     #[test]
-    fn in_place_tick_agrees_with_owned_result() {
+    fn in_place_tick_view_reads_the_arena() {
         let mut er = router_with_two_ports();
         let offers = [ntp_flow(64500, 1000), ntp_flow(64501, 2000)];
         let view = er.process_tick_in_place(&offers, 1_000_000, 1_000_000);
@@ -896,10 +875,61 @@ mod tests {
         assert_eq!(got, vec![(PortId(1), 1000), (PortId(2), 2000)]);
         assert_eq!(view.get(PortId(2)).unwrap().counters.forwarded_bytes, 2000);
         assert!(view.get(PortId(9)).is_none());
-        // Second tick reuses the arena; the compat API moves results out.
-        let res = er.process_tick(&offers, 2_000_000, 1_000_000);
-        assert_eq!(res[&PortId(1)].counters.forwarded_bytes, 1000);
-        assert!(!res.contains_key(&PortId(9)));
+        // Second tick reuses the arena; the view reads it back.
+        er.process_tick_in_place(&offers[..1], 2_000_000, 1_000_000);
+        let last = er.last_tick();
+        assert_eq!(last.len(), 1);
+        assert_eq!(forwarded(last, 1), 1000);
+        assert!(last.get(PortId(2)).is_none());
+    }
+
+    #[test]
+    fn out_of_order_adds_walk_and_tick_in_id_order() {
+        let mut er = EdgeRouter::new(HardwareInfoBase::lab_switch());
+        for (id, asn) in [(3u32, 64502u32), (1, 64500), (2, 64501)] {
+            er.add_port(
+                PortId(id),
+                MemberPort::new(asn, MacAddr::for_member(asn, 1), 1_000_000_000),
+            );
+        }
+        let ids = |er: &EdgeRouter| er.ports().map(|(pid, _)| pid.0).collect::<Vec<_>>();
+        assert_eq!(ids(&er), vec![1, 2, 3]);
+        assert_eq!(er.port(PortId(3)).map(|p| p.member_asn), Some(64502));
+        let offers = [ntp_flow(64502, 300), ntp_flow(64500, 100)];
+        let view = er.process_tick_in_place(&offers, 1_000_000, 1_000_000);
+        let got: Vec<(u32, u64)> = view
+            .iter()
+            .map(|(pid, r)| (pid.0, r.counters.forwarded_bytes))
+            .collect();
+        assert_eq!(got, vec![(1, 100), (3, 300)]);
+        assert_eq!(ids(&er), vec![1, 2, 3]);
+        assert_eq!(
+            er.port_of_mac(MacAddr::for_member(64501, 1)),
+            Some(PortId(2))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate MAC")]
+    fn duplicate_mac_is_refused() {
+        let mut er = router_with_two_ports();
+        er.add_port(
+            PortId(3),
+            MemberPort::new(64500, MacAddr::for_member(64500, 1), 1_000_000_000),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate port id")]
+    fn duplicate_id_in_an_out_of_order_batch_is_refused() {
+        let mut er = router_with_two_ports();
+        for (id, asn) in [(0u32, 64510u32), (2, 64511)] {
+            er.add_port(
+                PortId(id),
+                MemberPort::new(asn, MacAddr::for_member(asn, 1), 1_000_000_000),
+            );
+        }
+        er.process_tick_in_place(&[], 1_000_000, 1_000_000);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! any per-port outcome; and every merge (results, snapshots, port
 //! walks) is keyed on ascending PoP / PortId order.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use stellar_classify::sharded;
 use stellar_dataplane::filter::FilterRule;
 use stellar_dataplane::hardware::HardwareInfoBase;
@@ -129,14 +129,19 @@ impl Fabric {
 
     /// Attaches a member port to a PoP. Port ids are fabric-unique —
     /// the flat id space is what makes the multi-PoP merge identical to
-    /// the single-router view. Panics on a duplicate id or an unknown
-    /// PoP (topology bugs).
+    /// the single-router view. Panics on a duplicate id, a MAC that is
+    /// already attached, or an unknown PoP (topology bugs).
     pub fn add_port(&mut self, pop: PopId, id: PortId, port: MemberPort) {
         let p = pop.0 as usize;
         assert!(p < self.pops.len(), "unknown PoP {pop:?} in topology");
         assert!(
             !self.port_pop.contains_key(&id),
             "duplicate port id {id:?} in fabric topology"
+        );
+        assert!(
+            !self.mac_pop.contains_key(&port.mac),
+            "duplicate MAC {} in fabric topology",
+            port.mac
         );
         self.port_pop.insert(id, pop.0);
         self.mac_pop.insert(port.mac, pop.0);
@@ -174,11 +179,8 @@ impl Fabric {
     /// of PoP assignment — the same walk order a single router yields.
     /// Cold path (reconcile/watchdog cadence): collects and sorts.
     pub fn ports(&self) -> impl Iterator<Item = (PortId, &MemberPort)> {
-        let mut all: Vec<(PortId, &MemberPort)> = self
-            .pops
-            .iter()
-            .flat_map(|r| r.ports().map(|(pid, port)| (*pid, port)))
-            .collect();
+        let mut all: Vec<(PortId, &MemberPort)> =
+            self.pops.iter().flat_map(|r| r.ports()).collect();
         all.sort_unstable_by_key(|(pid, _)| *pid);
         all.into_iter()
     }
@@ -367,19 +369,11 @@ impl Fabric {
         routed
     }
 
-    /// Decides the fan-out width for this tick and records the effective
-    /// mode.
-    fn plan_tick(&mut self, routed: u64) -> usize {
-        let workers = sharded::effective_workers(self.tick_workers, routed, self.parallel_min_work);
-        self.last_parallel = workers > 1 && self.pops.len() > 1;
-        workers
-    }
-
     /// The zero-allocation fabric tick: exchanges aggregates across PoPs,
     /// then runs every PoP's arena pipeline — in parallel at router
     /// granularity when enough work is on offer. Results stay in each
-    /// PoP's arena (read them through cumulative port counters or
-    /// [`Fabric::process_tick`]); parallel and sequential execution are
+    /// PoP's arena (read them through [`Fabric::last_tick`] or the
+    /// cumulative port counters); parallel and sequential execution are
     /// byte-identical because PoPs share no state and all merges are
     /// order-keyed.
     pub fn process_tick_in_place(
@@ -389,7 +383,8 @@ impl Fabric {
         tick_us: u64,
     ) {
         let routed = self.route(offers);
-        let workers = self.plan_tick(routed);
+        let workers = sharded::effective_workers(self.tick_workers, routed, self.parallel_min_work);
+        self.last_parallel = workers > 1 && self.pops.len() > 1;
         if !self.last_parallel {
             for (pop, bucket) in self.pops.iter_mut().zip(self.buckets.iter()) {
                 pop.process_tick_in_place(bucket, tick_end_us, tick_us);
@@ -406,37 +401,10 @@ impl Fabric {
         });
     }
 
-    /// Compatibility tick: runs the exchange + per-PoP pipelines, then
-    /// merges every PoP's owned results into one map in ascending PoP
-    /// (and therefore ascending, fabric-unique `PortId`) order — the
-    /// exact shape the single-router `process_tick` returns.
-    pub fn process_tick(
-        &mut self,
-        offers: &[OfferedAggregate],
-        tick_end_us: u64,
-        tick_us: u64,
-    ) -> BTreeMap<PortId, TickResult> {
-        let routed = self.route(offers);
-        let workers = self.plan_tick(routed);
-        let mut out = BTreeMap::new();
-        if !self.last_parallel {
-            for (pop, bucket) in self.pops.iter_mut().zip(self.buckets.iter()) {
-                out.extend(pop.process_tick(bucket, tick_end_us, tick_us));
-            }
-            return out;
-        }
-        let shards: Vec<(&mut EdgeRouter, &[OfferedAggregate])> = self
-            .pops
-            .iter_mut()
-            .zip(self.buckets.iter().map(|b| b.as_slice()))
-            .collect();
-        let maps = sharded::parallel_shards(shards, workers, |(pop, offers)| {
-            pop.process_tick(offers, tick_end_us, tick_us)
-        });
-        for m in maps {
-            out.extend(m);
-        }
-        out
+    /// The most recent tick's per-port results, read from every PoP's
+    /// arena: ascending PoP, then ascending `PortId` within a PoP.
+    pub fn last_tick(&self) -> impl Iterator<Item = (PortId, &TickResult)> {
+        self.pops.iter().flat_map(|r| r.last_tick().iter())
     }
 
     /// Publishes the fabric gauges. A 1-PoP fabric delegates to its
@@ -484,6 +452,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use stellar_dataplane::filter::{Action, MatchSpec};
     use stellar_net::addr::{IpAddress, Ipv4Address};
     use stellar_net::flow::FlowKey;
@@ -504,6 +473,12 @@ mod tests {
             bytes,
             packets: bytes / 1000 + 1,
         }
+    }
+
+    /// One tick, with the results copied out of the PoP arenas.
+    fn tick(f: &mut Fabric, offers: &[OfferedAggregate]) -> BTreeMap<PortId, TickResult> {
+        f.process_tick_in_place(offers, 1_000_000, 1_000_000);
+        f.last_tick().map(|(pid, r)| (pid, r.clone())).collect()
     }
 
     /// 4 members round-robined over `pops` PoPs.
@@ -531,8 +506,8 @@ mod tests {
         ];
         let mut single = fabric(1);
         let mut multi = fabric(4);
-        let a = single.process_tick(&offers, 1_000_000, 1_000_000);
-        let b = multi.process_tick(&offers, 1_000_000, 1_000_000);
+        let a = tick(&mut single, &offers);
+        let b = tick(&mut multi, &offers);
         assert_eq!(a, b);
         assert_eq!(b[&PortId(2)].counters.forwarded_bytes, 1000);
         // Accounting: with one PoP everything member-sourced is local.
@@ -563,7 +538,7 @@ mod tests {
         assert_eq!(f.routers()[1].tcam().l34_used(), 3);
         assert_eq!(f.routers()[0].tcam().l34_used(), 0);
         assert_eq!(f.l34_used_total(), 3);
-        let res = f.process_tick(&[offer(64500, 64501, 1000)], 1_000_000, 1_000_000);
+        let res = tick(&mut f, &[offer(64500, 64501, 1000)]);
         assert_eq!(res[&PortId(2)].counters.dropped_bytes, 1000);
         assert!(f.remove_rule(PortId(2), 1, 1));
         assert_eq!(f.l34_used_total(), 0);
@@ -622,6 +597,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "duplicate MAC")]
+    fn duplicate_mac_is_refused_across_pops() {
+        let mut f = fabric(2);
+        f.add_port(
+            PopId(1),
+            PortId(9),
+            MemberPort::new(64500, MacAddr::for_member(64500, 1), 1_000_000_000),
+        );
+    }
+
+    #[test]
     fn multi_pop_observe_aggregates_and_single_pop_delegates() {
         let mut reg = stellar_obs::MetricsRegistry::new();
         let mut legacy = stellar_obs::MetricsRegistry::new();
@@ -633,7 +619,7 @@ mod tests {
             serde_json::to_string(&legacy.to_content()).unwrap()
         );
         let mut f4 = fabric(4);
-        f4.process_tick(&[offer(64500, 64501, 1000)], 1_000_000, 1_000_000);
+        tick(&mut f4, &[offer(64500, 64501, 1000)]);
         let mut reg4 = stellar_obs::MetricsRegistry::new();
         f4.observe(&mut reg4);
         let json = serde_json::to_string(&reg4.to_content()).unwrap();

@@ -7,12 +7,16 @@
 //!   into PoPs (the `STELLAR_POPS` axis), because filtering is
 //!   egress-side;
 //! - a 1-PoP fabric must be byte-indistinguishable from the bare
-//!   single [`EdgeRouter`] it wraps.
+//!   single [`EdgeRouter`] it wraps;
+//! - none of this may depend on the order ports were added in, and the
+//!   fabric's port walk stays in ascending `PortId` order.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use stellar_dataplane::filter::{Action, FilterRule, MatchSpec, PortMatch};
 use stellar_dataplane::hardware::HardwareInfoBase;
 use stellar_dataplane::port::MemberPort;
+use stellar_dataplane::qos::TickResult;
 use stellar_dataplane::switch::{EdgeRouter, OfferedAggregate, PortId};
 use stellar_net::addr::{IpAddress, Ipv4Address};
 use stellar_net::flow::FlowKey;
@@ -49,7 +53,9 @@ type RuleGen = Vec<(MatchSpec, Action, u16)>;
 /// local paths both occur, plus some external (unknown-MAC) sources.
 type OfferGen = Vec<(usize, usize, u16, u64, bool)>;
 
-fn arb_topology() -> impl Strategy<Value = (Vec<RuleGen>, Vec<OfferGen>)> {
+/// Per-port rules, the ticks, and the order the ports are added in (a
+/// permutation of the port indices).
+fn arb_topology() -> impl Strategy<Value = (Vec<RuleGen>, Vec<OfferGen>, Vec<usize>)> {
     let rules = proptest::collection::vec(
         proptest::collection::vec((arb_spec(), arb_action(), any::<u16>()), 0..4),
         2..18,
@@ -67,7 +73,17 @@ fn arb_topology() -> impl Strategy<Value = (Vec<RuleGen>, Vec<OfferGen>)> {
         ),
         1..4,
     );
-    (rules, ticks)
+    // The add order: port indices sorted by a random key each.
+    let keys = proptest::collection::vec(any::<u32>(), 18);
+    (rules, ticks, keys).prop_map(|(rules, ticks, keys)| {
+        let mut order: Vec<usize> = (0..rules.len()).collect();
+        order.sort_by_key(|&p| keys[p]);
+        (rules, ticks, order)
+    })
+}
+
+fn ascending(n_ports: usize) -> Vec<usize> {
+    (0..n_ports).collect()
 }
 
 fn port_rules_to_filter(p: usize, rules: &RuleGen) -> Vec<FilterRule> {
@@ -80,9 +96,12 @@ fn port_rules_to_filter(p: usize, rules: &RuleGen) -> Vec<FilterRule> {
         .collect()
 }
 
-fn build_fabric(port_rules: &[RuleGen], pops: usize) -> Fabric {
+/// Adds port `p` (on PoP `p % pops`, with its rules) for each `p` in
+/// `order`.
+fn build_fabric(port_rules: &[RuleGen], pops: usize, order: &[usize]) -> Fabric {
     let mut fabric = Fabric::new(HardwareInfoBase::lab_switch(), pops);
-    for (p, rules) in port_rules.iter().enumerate() {
+    for &p in order {
+        let rules = &port_rules[p];
         let asn = 64500 + p as u32;
         let pid = PortId(p as u32 + 1);
         fabric.add_port(
@@ -149,6 +168,19 @@ fn offers_for_tick(n_ports: usize, tick: &OfferGen) -> Vec<OfferedAggregate> {
         .collect()
 }
 
+/// One tick through the fabric, copied out of the PoP arenas.
+fn run_tick(
+    fabric: &mut Fabric,
+    offers: &[OfferedAggregate],
+    end_us: u64,
+) -> BTreeMap<PortId, TickResult> {
+    fabric.process_tick_in_place(offers, end_us, TICK_US);
+    fabric
+        .last_tick()
+        .map(|(pid, r)| (pid, r.clone()))
+        .collect()
+}
+
 fn obs_bytes_fabric(fabric: &Fabric) -> String {
     let mut reg = stellar_obs::MetricsRegistry::default();
     fabric.observe(&mut reg);
@@ -173,24 +205,27 @@ fn fingerprint(fabric: &Fabric) -> Vec<(u32, stellar_dataplane::counters::PortCo
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The worker axis: for each PoP count, every worker count yields
-    /// the same verdicts, fabric counters, and obs snapshot bytes as
-    /// the single-worker run.
+    /// The worker axis: for each PoP count, every worker count on a
+    /// fabric built in a permuted port order yields the same verdicts,
+    /// fabric counters, and obs snapshot bytes as the single-worker run
+    /// on the ascending build.
     #[test]
     fn fabric_is_deterministic_across_workers_and_pops(topo in arb_topology()) {
-        let (port_rules, ticks) = topo;
+        let (port_rules, ticks, order) = topo;
         let n_ports = port_rules.len();
         for pops in [1usize, 4, 16] {
-            let mut base = build_fabric(&port_rules, pops);
+            let mut base = build_fabric(&port_rules, pops, &ascending(n_ports));
             base.set_tick_workers(1);
             let mut base_results = Vec::new();
             for (t, tick) in ticks.iter().enumerate() {
                 let offers = offers_for_tick(n_ports, tick);
-                base_results.push(base.process_tick(&offers, (t as u64 + 1) * TICK_US, TICK_US));
+                base_results.push(run_tick(&mut base, &offers, (t as u64 + 1) * TICK_US));
             }
             let base_obs = obs_bytes_fabric(&base);
             for workers in [2usize, 4] {
-                let mut fab = build_fabric(&port_rules, pops);
+                let mut fab = build_fabric(&port_rules, pops, &order);
+                let ids: Vec<PortId> = fab.ports().map(|(pid, _)| pid).collect();
+                prop_assert_eq!(ids, (0..n_ports).map(|p| PortId(p as u32 + 1)).collect::<Vec<_>>());
                 fab.set_tick_workers(workers);
                 // Defeat the adaptive cutoff: these topologies sit far
                 // below the default threshold and the property under
@@ -198,7 +233,7 @@ proptest! {
                 fab.set_parallel_min_work(0);
                 for (t, tick) in ticks.iter().enumerate() {
                     let offers = offers_for_tick(n_ports, tick);
-                    let r = fab.process_tick(&offers, (t as u64 + 1) * TICK_US, TICK_US);
+                    let r = run_tick(&mut fab, &offers, (t as u64 + 1) * TICK_US);
                     prop_assert_eq!(&r, &base_results[t]);
                 }
                 prop_assert_eq!(fab.counters(), base.counters());
@@ -212,12 +247,12 @@ proptest! {
     /// filter at egress only.
     #[test]
     fn port_outcomes_are_partition_independent(topo in arb_topology()) {
-        let (port_rules, ticks) = topo;
+        let (port_rules, ticks, _) = topo;
         let n_ports = port_rules.len();
         let mut fabrics: Vec<Fabric> = [1usize, 4, 16]
             .iter()
             .map(|&pops| {
-                let mut f = build_fabric(&port_rules, pops);
+                let mut f = build_fabric(&port_rules, pops, &ascending(n_ports));
                 f.set_tick_workers(1);
                 f
             })
@@ -227,7 +262,7 @@ proptest! {
             let end_us = (t as u64 + 1) * TICK_US;
             let mut results = fabrics
                 .iter_mut()
-                .map(|f| f.process_tick(&offers, end_us, TICK_US));
+                .map(|f| run_tick(f, &offers, end_us));
             let first = results.next().expect("three fabrics");
             for r in results {
                 prop_assert_eq!(&r, &first);
@@ -249,22 +284,30 @@ proptest! {
         }
     }
 
-    /// A 1-PoP fabric is the single router: same verdicts and the
-    /// exact same exported snapshot bytes (the fabric delegates its
-    /// observe to the lone PoP rather than renaming anything).
+    /// A 1-PoP fabric is the single router: same verdicts in the same
+    /// ascending order and the exact same exported snapshot bytes (the
+    /// fabric delegates its observe to the lone PoP rather than
+    /// renaming anything), even when the fabric's ports were added in a
+    /// permuted order.
     #[test]
     fn one_pop_fabric_matches_bare_router(topo in arb_topology()) {
-        let (port_rules, ticks) = topo;
+        let (port_rules, ticks, order) = topo;
         let n_ports = port_rules.len();
-        let mut fab = build_fabric(&port_rules, 1);
+        let mut fab = build_fabric(&port_rules, 1, &order);
         fab.set_tick_workers(1);
         let mut er = build_router(&port_rules);
         er.set_tick_workers(1);
         for (t, tick) in ticks.iter().enumerate() {
             let offers = offers_for_tick(n_ports, tick);
             let end_us = (t as u64 + 1) * TICK_US;
-            let rf = fab.process_tick(&offers, end_us, TICK_US);
-            let rr = er.process_tick(&offers, end_us, TICK_US);
+            fab.process_tick_in_place(&offers, end_us, TICK_US);
+            let rr: Vec<(PortId, TickResult)> = er
+                .process_tick_in_place(&offers, end_us, TICK_US)
+                .iter()
+                .map(|(pid, r)| (pid, r.clone()))
+                .collect();
+            let rf: Vec<(PortId, TickResult)> =
+                fab.last_tick().map(|(pid, r)| (pid, r.clone())).collect();
             prop_assert_eq!(&rf, &rr);
         }
         prop_assert_eq!(fab.rule_ledger(), er.rule_ledger());

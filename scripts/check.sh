@@ -50,8 +50,8 @@ mv results/lint.json results/lint.run1.json
 cargo run --release -q -p stellar-lint -- --root . --json results/lint.json >/dev/null
 diff results/lint.run1.json results/lint.json
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> cargo test --release -q --test fault_recovery -- --include-ignored (fault soak)"
 cargo test --release -q --test fault_recovery -- --include-ignored
@@ -91,7 +91,7 @@ cargo run --release -q --example quickstart >/dev/null
 diff results/metrics_quickstart.pop1.json results/metrics_quickstart.json
 rm -f results/metrics_quickstart.pop1.json
 
-echo "==> scale_sweep smoke: regenerate BENCH_pipeline.json (cross-mode equality asserted in-run)"
+echo "==> scale_sweep smoke: cross-mode equality + zero-allocation asserted in-run (writes no results)"
 STELLAR_SWEEP_SMOKE=1 cargo run --release -q -p stellar-bench --bin scale_sweep >/dev/null
 
 echo "==> pop_placement smoke: budget-aware placement + 4-PoP watchdog episode (asserted in-run)"
